@@ -735,37 +735,26 @@ pub fn run_arch(w: Workload, arch: Architecture, seed: u64, mode: Mode) -> ArchR
         let log = sc.log.borrow();
         (log.bytes - bytes0, log.offered - offered0)
     };
-    finish(
-        &mut sc,
-        w,
-        mode,
+    let run = ArchRun {
         setup_ns,
         host_ns,
         alloc,
         counters,
+        latencies: Vec::new(),
         window_bytes,
         offered,
+        modelled_failures: counters.modelled_failures,
         spans,
-    )
+        digest: String::new(),
+        errors: Vec::new(),
+    };
+    finish(&mut sc, w, mode, run)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    sc: &mut Scenario,
-    w: Workload,
-    mode: Mode,
-    setup_ns: u64,
-    host_ns: u64,
-    alloc: Snapshot,
-    counters: Counters,
-    window_bytes: u64,
-    offered: u64,
-    spans: Vec<Span>,
-) -> ArchRun {
+/// Checks the run's outputs and collects its latencies and digest.
+fn finish(sc: &mut Scenario, w: Workload, mode: Mode, mut run: ArchRun) -> ArchRun {
     let (t0, t1) = (w.warm_end().as_nanos(), w.window_end().as_nanos());
-    let mut errors = Vec::new();
-    let mut modelled_failures = counters.modelled_failures;
-    let mut offered = offered;
+    let errors = &mut run.errors;
     match &sc.handles {
         Handles::Udp { seed } => {
             // The injector stopped at the window's end: let the frames on
@@ -773,7 +762,7 @@ fn finish(
             sc.world
                 .run_until(w.window_end() + SimDuration::from_millis(5));
             resolve_udp_latency(&mut sc.log.borrow_mut(), *seed);
-            offered = counters.injected;
+            run.offered = run.counters.injected;
             let h = &sc.world.hosts[0];
             let emitted = sc.world.injector_emitted(0);
             let l = h.packet_ledger();
@@ -811,7 +800,7 @@ fn finish(
                 .iter()
                 .filter(|o| o.done_ns >= t0 && o.done_ns < t1 && o.done_ns - o.lat_ns >= t0)
                 .count() as u64;
-            modelled_failures = offered.saturating_sub(delivered_in_window);
+            run.modelled_failures = run.offered.saturating_sub(delivered_in_window);
         }
         Handles::Http { .. } => {}
     }
@@ -824,26 +813,14 @@ fn finish(
     }
     let log = sc.log.borrow();
     errors.extend(log.errors.iter().cloned());
-    let latencies: Vec<u64> = log
+    run.latencies = log
         .ops
         .iter()
         .filter(|o| o.done_ns >= t0 && o.done_ns < t1)
         .map(|o| o.lat_ns)
         .collect();
-    let digest = digest(&sc.world, &counters, &latencies, window_bytes);
-    ArchRun {
-        setup_ns,
-        host_ns,
-        alloc,
-        counters,
-        latencies,
-        window_bytes,
-        offered,
-        modelled_failures,
-        spans,
-        digest,
-        errors,
-    }
+    run.digest = digest(&sc.world, &run.counters, &run.latencies, run.window_bytes);
+    run
 }
 
 /// Replaces each consumed datagram's sequence number by its latency from
