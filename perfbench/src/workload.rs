@@ -598,8 +598,9 @@ impl Counters {
             c.ctx_switches += h.stats.ctx_switches;
             c.interrupt_ns += h.sched.account_totals().interrupt.as_nanos();
             c.cpu_ns += w.now.as_nanos() * h.ncpus() as u64;
-            // Host statistics count the NIC's drops too (as `RxRing`).
-            c.modelled_failures += h.stats.total_drops();
+            // Host statistics count ring overruns (as `RxRing`) but not
+            // the NI firmware's early discards, which the host never sees.
+            c.modelled_failures += h.stats.total_drops() + nic.early_discards;
         }
         c.injected = (0..injector_count(sc)).map(|i| w.injector_emitted(i)).sum();
         c.tx_frames += c.injected;
