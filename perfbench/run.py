@@ -13,14 +13,16 @@ every repetition starts from the same allocator and frame-arena state, so
 allocation counts repeat exactly. Each repetition runs the workload on all
 four architectures in turn, each after a warm-up window.
 
---trace 0 reports the end-to-end metrics: medians over repetitions of the
-timed figures, and the exact ones (allocations, heap, simulated outcomes),
-which must be identical in every repetition.
+--trace 0 reports the end-to-end metrics: host time as the sum over the
+windows' 1 s simulated chunks of each chunk's fastest repetition, the
+median set-up time, and the exact figures (allocations, heap, simulated
+outcomes), which must be identical in every repetition.
 
 --trace 1 reports the per-layer metrics: interleaved rounds of a plain run,
 a run sliced into 10 ms simulated spans (written to
 <target dir>/perfbench/spans-<workload>-<seed>.jsonl) and a run with host
-telemetry off, then timed calls into each layer's public functions.
+telemetry off, then timed calls into each layer's public functions (the
+event queue's with one world's event rates from the plain run).
 See perfbench/README.md for what each metric means.
 
 Every run checks the simulator's outputs; the last line of standard output
@@ -81,6 +83,16 @@ def total(rep, key):
     return sum(a[key] for a in rep["archs"])
 
 
+def fastest(reps, archs=range(len(ARCHS))):
+    """Host seconds of the measured windows, each window chunk at its fastest
+    over the repetitions. Every repetition simulates exactly the same work,
+    chunk by chunk, and other tenants' load on the machine only ever adds
+    time, in phases of a few seconds: the sum of the chunks' minima is the
+    steadiest estimate of the simulator's own cost."""
+    return sum(min(r["archs"][i]["step_host_ns"][k] for r in reps)
+               for i in archs for k in range(len(reps[0]["archs"][i]["step_host_ns"]))) / 1e9
+
+
 def exact_view(rep):
     """The parts of a run that must repeat exactly."""
     return [(a["arch"], a["digest"], a["allocs"], a["alloc_bytes"]) for a in rep["archs"]] + [
@@ -109,7 +121,7 @@ def end_to_end(binary, w, seed, seconds):
     check(reps, errors, "plain runs")
     rep = reps[0]
     sim_s = rep["sim_s"]
-    host = statistics.median(total(r, "host_s") for r in reps)
+    host = fastest(reps)
     setup = statistics.median(total(r, "setup_s") for r in reps)
     lat = rep["latency"]
     metrics = {
@@ -123,12 +135,13 @@ def end_to_end(binary, w, seed, seconds):
         "sim_latency_p99_ms": metric(lat["p99_ns"] / 1e6, "ms"),
     }
     print(f"{w} seed {seed}: {len(reps)} repetitions, {sim_s:g} simulated s measured per architecture")
-    print(f"  {'arch':<12} {'host_s':>9} {'setup_s':>9} {'allocs':>10} {'events':>9} {'ops':>7} "
-          f"{'offered':>8} {'modelled failures':>18}")
+    print(f"  {'arch':<12} {'host_s':>9} {'setup_s':>9} {'heap_MB':>8} {'allocs':>10} {'events':>9} "
+          f"{'ops':>7} {'offered':>8} {'modelled failures':>18}")
     for i, arch in enumerate(ARCHS):
         a = [r["archs"][i] for r in reps]
         print(f"  {arch:<12} {statistics.median(x['host_s'] for x in a):9.4f} "
-              f"{statistics.median(x['setup_s'] for x in a):9.4f} {a[0]['allocs']:10d} "
+              f"{statistics.median(x['setup_s'] for x in a):9.4f} {a[0]['heap_peak'] / 1e6:8.3f} "
+              f"{a[0]['allocs']:10d} "
               f"{a[0]['events']:9d} {a[0]['ops']:7d} {a[0]['offered']:8d} {a[0]['modelled_failures']:18d}")
     print("  host_s per repetition: " + " ".join(f"{total(r, 'host_s'):.4f}" for r in reps))
     offered = total(rep, "offered")
@@ -154,7 +167,15 @@ def per_layer(binary, target, w, seed, seconds):
             extra = ["--spans", spans] if mode == "sliced" else []
             rnd[mode] = invoke(binary, "run", "--workload", w, "--seed", str(seed), "--mode", mode, *extra)
         rounds.append(rnd)
-    layers = invoke(binary, "layers", "--workload", w, "--seed", str(seed))
+    # One world's event rates per simulated second, for the event queue's
+    # hold model.
+    first = rounds[0]["plain"]
+    worlds = len(ARCHS) * first["sim_s"]
+    queue_rates = [total(first, k) / worlds for k in ("events", "injected")] + [
+        (total(first, "tx_frames") - total(first, "injected")) / worlds,
+        total(first, "ticks") / worlds, total(first, "cpu_busy_ns") / worlds]
+    layers = invoke(binary, "layers", "--workload", w, "--seed", str(seed),
+                    "--queue-rates", ",".join(repr(float(x)) for x in queue_rates))
 
     errors = []
     for mode in MODES:
@@ -166,7 +187,7 @@ def per_layer(binary, target, w, seed, seconds):
     plain = [r["plain"] for r in rounds]
     rep = plain[0]
     sim_s = rep["sim_s"]
-    host = statistics.median(total(r, "host_s") for r in plain)  # host s per set
+    host = fastest(plain)
 
     def rate(key):
         return total(rep, key) / sim_s
@@ -186,7 +207,7 @@ def per_layer(binary, target, w, seed, seconds):
         statistics.median(r["sliced"]["slices"]["p99_ns"] for r in rounds) / 1e6, "ms")
     for i, arch in enumerate(ARCHS):
         m[f"world.{arch}.host_s_per_sim_s"] = metric(
-            statistics.median(r["archs"][i]["host_s"] for r in plain) / sim_s, "s/s")
+            fastest(plain, [i]) / sim_s, "s/s")
         m[f"world.{arch}.allocs_per_sim_s"] = metric(rep["archs"][i]["allocs"] / sim_s, "1/s")
 
     q = layers["sim.queue_ns_per_event"]
@@ -204,11 +225,14 @@ def per_layer(binary, target, w, seed, seconds):
     m["demux.classify_ns_per_frame"] = metric(classify, "ns")
     m["demux.share"] = metric(share(classify, rate("classified")), "frac")
 
-    nic = layers["nic.rx_ns_per_frame"]
-    m["nic.rx_ns_per_frame"] = metric(nic, "ns")
+    # Each architecture's frames at its own adaptor mode's cost, in ns
+    # over the windows.
+    nic_ns = sum(layers[f"nic.{arch}.rx_ns_per_frame"] * rep["archs"][i]["rx_frames"]
+                 for i, arch in enumerate(ARCHS))
+    m["nic.rx_ns_per_frame"] = metric(frac(nic_ns, total(rep, "rx_frames")), "ns")
     m["nic.early_discard_frac"] = metric(frac(total(rep, "early_discards"), total(rep, "rx_frames")), "frac")
     m["nic.frames_per_interrupt"] = metric(frac(total(rep, "rx_frames"), total(rep, "interrupts")), "count")
-    m["nic.share"] = metric(share(nic, rate("rx_frames")), "frac")
+    m["nic.share"] = metric(nic_ns / 1e9 / host, "frac")
 
     seg, cookie = layers["stack.tcp_ns_per_segment"], layers["stack.cookie_ns_per_syn"]
     m["stack.tcp_ns_per_segment"] = metric(seg, "ns")
@@ -238,7 +262,10 @@ def per_layer(binary, target, w, seed, seconds):
     tele_off = rounds[0]["telemetry-off"]
     m["core.telemetry_alloc_mb_per_sim_s"] = metric(
         (total(rep, "alloc_bytes") - total(tele_off, "alloc_bytes")) / 1e6 / sim_s, "MB/s")
-    attributed = sum(m[k]["value"] for k in ("sim.queue_share", "wire.share", "demux.share", "nic.share",
+    # The event queue's share is left out: its hold model rests on a delay
+    # for CPU completions and kernel timers that the world's counters do
+    # not give, so its cost stays in the unattributed rest.
+    attributed = sum(m[k]["value"] for k in ("wire.share", "demux.share", "nic.share",
                                              "stack.share", "sched.share", "core.timer_scan_share",
                                              "core.telemetry_overhead_frac"))
     m["core.unattributed_share"] = metric(1 - attributed, "frac")
@@ -247,6 +274,8 @@ def per_layer(binary, target, w, seed, seconds):
         for r in rounds for untraced, traced in zip(r["plain"]["archs"], r["sliced"]["archs"])), "frac")
 
     print(f"{w} seed {seed}: {len(rounds)} traced rounds (plain, sliced, telemetry off); spans in {spans}")
+    print(f"  event-queue hold model: {layers['sim.queue_pending']:g} events pending (Little's law) at "
+          f"{queue_rates[0]:.6g} events per world per simulated s")
     for name, v in m.items():
         print(f"  {name} = {v['value']:.6g} {v['unit']}")
     return m, total(rep, "offered"), errors

@@ -1,5 +1,5 @@
 //! Counting global allocator: exact allocation counts, bytes allocated and
-//! the peak of live heap bytes for this process.
+//! the peak of live heap bytes over a window the caller opens.
 //!
 //! It lives in the benchmark binary only, so the simulator's libraries
 //! run with the system allocator everywhere else. The counters are
@@ -91,7 +91,15 @@ impl Snapshot {
     }
 }
 
-/// Peak live heap bytes since the process started.
+/// Starts a new peak window: the peak becomes the current live heap,
+/// which is returned as the window's baseline.
+pub fn reset_peak() -> u64 {
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    live
+}
+
+/// Peak live heap bytes since the last [`reset_peak`].
 pub fn peak_bytes() -> u64 {
     PEAK.load(Relaxed)
 }

@@ -9,8 +9,8 @@
 
 use crate::alloc::Snapshot;
 use crate::workload::{
-    self, flood_injector, udp_injector, Workload, HTTP_DOC, HTTP_PORT, SYN_PPS, TCP_WRITE,
-    UDP_PORT, UDP_PPS,
+    self, flood_injector, udp_injector, OpLog, Workload, HTTP_DOC, HTTP_PORT, TCP_WRITE, TICK,
+    UDP_PORT,
 };
 use lrp_core::Architecture;
 use lrp_demux::{ChannelId, DemuxTable};
@@ -173,17 +173,19 @@ fn http_connection(i: u32, capture: Option<&mut Vec<Frame>>) -> usize {
     p.segs
 }
 
-/// The frames the workload's generators produce.
-fn sample_frames(w: Workload, seed: u64) -> Vec<Frame> {
+/// The frames the workload's generators produce: the injectors' frames
+/// first, then the ones the hosts' TCP connections transmit. Returns the
+/// frames and how many of them are injected.
+fn sample_frames(w: Workload, seed: u64) -> (Vec<Frame>, usize) {
     match w {
-        Workload::UdpOverload => fire(udp_injector(seed), FRAMES),
+        Workload::UdpOverload => (fire(udp_injector(seed), FRAMES), FRAMES),
         Workload::TcpBulk => {
             let mut p = Pair::open(40_000, 5001, seed as u32, true);
             let data = vec![0xBB; TCP_WRITE];
             while p.capture.as_ref().map_or(0, Vec::len) < FRAMES {
                 p.bulk_write(&data);
             }
-            p.capture.take().expect("capturing")
+            (p.capture.take().expect("capturing"), 0)
         }
         Workload::HttpSynflood => {
             let mut frames = fire(flood_injector(seed), FRAMES / 2);
@@ -192,7 +194,7 @@ fn sample_frames(w: Workload, seed: u64) -> Vec<Frame> {
                 http_connection(i, Some(&mut frames));
                 i = i.wrapping_add(1);
             }
-            frames
+            (frames, FRAMES / 2)
         }
     }
 }
@@ -269,103 +271,178 @@ fn server_key(w: Workload) -> FlowKey {
     }
 }
 
-/// NIC receive cost per frame, averaged over the four architectures'
-/// adaptor modes: ring DMA for BSD, plus host demux for SOFT-LRP and
-/// Early-Demux, firmware demux into an NI channel for NI-LRP.
-fn nic_rx_ns(w: Workload, inbound: &[Frame]) -> f64 {
-    let mut total = 0.0;
-    for (arch, _) in workload::ARCHS {
-        let mode = match arch {
-            Architecture::Bsd => DemuxMode::None,
-            Architecture::NiLrp => DemuxMode::Ni,
-            Architecture::SoftLrp | Architecture::EarlyDemux => DemuxMode::Soft,
-        };
-        let mut nic = Nic::new(mode, HOST_B, 64);
-        let chan = nic.create_default_channel();
-        nic.demux
-            .register(server_key(w), chan)
-            .expect("fresh table has room");
-        let mut scratch = Vec::with_capacity(64);
-        total += time_ns(|| {
-            for (i, f) in inbound.iter().enumerate() {
-                black_box(nic.rx_frame_at(i as u64, f.clone()));
-                if let Some(c) = nic.last_rx_channel() {
-                    black_box(nic.channel_mut(c).dequeue());
+/// NIC receive cost per frame in each architecture's adaptor mode: ring
+/// DMA and an interrupt for BSD, SOFT-LRP and Early-Demux (their hosts
+/// classify in software, timed as `demux`), firmware demux into an NI
+/// channel for NI-LRP.
+fn nic_rx_ns(w: Workload, inbound: &[Frame]) -> Vec<(String, f64)> {
+    workload::ARCHS
+        .iter()
+        .map(|&(arch, tag)| {
+            let mode = match arch {
+                Architecture::Bsd => DemuxMode::None,
+                Architecture::NiLrp => DemuxMode::Ni,
+                Architecture::SoftLrp | Architecture::EarlyDemux => DemuxMode::Soft,
+            };
+            let mut nic = Nic::new(mode, HOST_B, 64);
+            let chan = nic.create_default_channel();
+            nic.demux
+                .register(server_key(w), chan)
+                .expect("fresh table has room");
+            let mut scratch = Vec::with_capacity(64);
+            let ns = time_ns(|| {
+                for (i, f) in inbound.iter().enumerate() {
+                    black_box(nic.rx_frame_at(i as u64, f.clone()));
+                    if let Some(c) = nic.last_rx_channel() {
+                        black_box(nic.channel_mut(c).dequeue());
+                    }
+                    if i % 8 == 7 {
+                        nic.ring_drain_into(0, 64, &mut scratch);
+                        scratch.clear();
+                    }
                 }
-                if i % 8 == 7 {
-                    nic.ring_drain_into(0, 64, &mut scratch);
-                    scratch.clear();
-                }
-            }
-            nic.ring_drain_into(0, 64, &mut scratch);
-            scratch.clear();
-            inbound.len()
-        });
-    }
-    total / workload::ARCHS.len() as f64
-}
-
-/// Event delays of a hold model that follows the workload's event
-/// sources: injector gaps, link latency and serialisation, CPU work
-/// chunks, and the long kernel timers (statclock tick, RTO, TIME_WAIT)
-/// whose share differs by workload.
-fn queue_delays(w: Workload, seed: u64) -> Vec<u64> {
-    let mut rng = SplitMix64::new(seed);
-    let link = LinkConfig::default();
-    let latency = link.latency.as_nanos();
-    let ms = |n: u64| SimDuration::from_millis(n).as_nanos();
-    (0..4096)
-        .map(|_| {
-            let u = rng.next_f64();
-            let cpu = 5_000 + rng.next_u64() % 45_000;
-            match w {
-                Workload::UdpOverload => match u {
-                    u if u < 0.5 => rng.next_exp(1e9 / UDP_PPS) as u64,
-                    u if u < 0.75 => latency,
-                    u if u < 0.99 => cpu,
-                    _ => ms(10),
-                },
-                Workload::TcpBulk => match u {
-                    u if u < 0.45 => link.tx_time(9180).as_nanos(),
-                    u if u < 0.75 => latency,
-                    u if u < 0.97 => cpu,
-                    u if u < 0.99 => ms(10),
-                    _ => ms(1000),
-                },
-                Workload::HttpSynflood => match u {
-                    u if u < 0.2 => rng.next_exp(1e9 / SYN_PPS) as u64,
-                    u if u < 0.5 => latency,
-                    u if u < 0.9 => cpu,
-                    u if u < 0.97 => ms(10),
-                    _ => ms(500),
-                },
-            }
+                nic.ring_drain_into(0, 64, &mut scratch);
+                scratch.clear();
+                inbound.len()
+            });
+            (format!("nic.{tag}.rx_ns_per_frame"), ns)
         })
-        .map(|d| d.max(1))
         .collect()
 }
 
-fn queue_ns(w: Workload, seed: u64) -> f64 {
-    let delays = queue_delays(w, seed);
-    time_ns(|| {
+/// Event rates of one world per simulated second, from the workload's
+/// plain run (the mean over the four architectures' worlds).
+#[derive(Clone, Copy, Debug)]
+pub struct QueueRates {
+    pub events: f64,
+    pub injected: f64,
+    /// Frames the hosts put on their links.
+    pub host_tx: f64,
+    pub ticks: f64,
+    /// Simulated CPU time spent in work chunks, ns.
+    pub cpu_busy_ns: f64,
+}
+
+impl QueueRates {
+    /// Parses `events,injected,host_tx,ticks,cpu_busy_ns`.
+    pub fn parse(s: &str) -> Option<QueueRates> {
+        let v: Vec<f64> = s
+            .split(',')
+            .map(|x| x.parse().ok())
+            .collect::<Option<_>>()?;
+        let &[events, injected, host_tx, ticks, cpu_busy_ns] = v.as_slice() else {
+            return None;
+        };
+        Some(QueueRates {
+            events,
+            injected,
+            host_tx,
+            ticks,
+            cpu_busy_ns,
+        })
+    }
+}
+
+/// How long an event waits in the queue, from its scheduling to its pop.
+#[derive(Clone, Copy, Debug)]
+enum Delay {
+    Fixed(u64),
+    Exp(f64),
+}
+
+/// The world's event sources, as `(events per simulated second, delay)`.
+///
+/// The rates are the run's own counts. Each injected frame is two events:
+/// its `Inject` (scheduled one inter-arrival gap ahead) and its arrival
+/// (one link latency ahead). Each frame a host transmits is two: the link's
+/// `LinkFree` (one serialisation time ahead) and the arrival (serialisation
+/// plus latency), at the mean length of the frames the hosts' connections
+/// send. Each host has a statclock `Tick` every [`TICK`]. The remaining
+/// events are CPU completions and kernel timers, which the world's public
+/// counters do not tell apart: they are modelled as CPU completions whose
+/// mean delay is the CPU time busy per remaining event.
+fn queue_sources(w: Workload, r: QueueRates, host_frame_len: usize) -> Vec<(f64, Delay)> {
+    let link = LinkConfig::default();
+    let latency = link.latency.as_nanos();
+    let tx = link.tx_time(host_frame_len).as_nanos();
+    let rest = r.events - 2.0 * r.injected - 2.0 * r.host_tx - r.ticks;
+    let mut sources = vec![
+        (
+            r.injected,
+            Delay::Exp(w.injectors() as f64 * 1e9 / r.injected),
+        ),
+        (r.injected, Delay::Fixed(latency)),
+        (r.host_tx, Delay::Fixed(tx)),
+        (r.host_tx, Delay::Fixed(tx + latency)),
+        (r.ticks, Delay::Fixed(TICK.as_nanos())),
+        (rest, Delay::Exp(r.cpu_busy_ns / rest)),
+    ];
+    sources.retain(|&(rate, _)| rate > 0.0);
+    sources
+}
+
+/// Events pending in the world's queue on average, by Little's law: each
+/// source's rate times its mean delay.
+fn queue_depth(sources: &[(f64, Delay)]) -> usize {
+    let held: f64 = sources
+        .iter()
+        .map(|&(rate, d)| {
+            rate * match d {
+                Delay::Fixed(ns) => ns as f64,
+                Delay::Exp(mean) => mean,
+            } / 1e9
+        })
+        .sum();
+    (held.round() as usize).max(1)
+}
+
+/// `EventQueue` pop + schedule in a hold model: [`queue_depth`] events
+/// pending, each popped event rescheduled with a delay drawn from the
+/// sources in proportion to their rates. Returns the cost per event and
+/// the depth.
+fn queue_ns(w: Workload, seed: u64, rates: QueueRates, host_frame_len: usize) -> (f64, usize) {
+    let sources = queue_sources(w, rates, host_frame_len);
+    let depth = queue_depth(&sources);
+    let total: f64 = sources.iter().map(|&(rate, _)| rate).sum();
+    let mut rng = SplitMix64::new(seed);
+    let delays: Vec<u64> = (0..4096)
+        .map(|_| {
+            let mut u = rng.next_f64() * total;
+            let mut pick = sources[sources.len() - 1].1;
+            for &(rate, d) in &sources {
+                if u < rate {
+                    pick = d;
+                    break;
+                }
+                u -= rate;
+            }
+            match pick {
+                Delay::Fixed(ns) => ns,
+                Delay::Exp(mean) => rng.next_exp(mean) as u64,
+            }
+            .max(1)
+        })
+        .collect();
+    let ns = time_ns(|| {
         let mut q: EventQueue<u32> = EventQueue::new();
-        for (i, &d) in delays.iter().take(16).enumerate() {
-            q.schedule(SimTime::from_nanos(d), i as u32);
+        for i in 0..depth {
+            q.schedule(SimTime::from_nanos(delays[i % delays.len()]), i as u32);
         }
         for k in 0..QUEUE_OPS {
-            let (t, e) = q.pop().expect("hold model keeps 16 pending");
+            let (t, e) = q.pop().expect("the hold model keeps its events pending");
             q.schedule(
-                t + SimDuration::from_nanos(delays[k % delays.len()]),
+                t + SimDuration::from_nanos(delays[(k + depth) % delays.len()]),
                 black_box(e),
             );
         }
         QUEUE_OPS
-    })
+    });
+    (ns, depth)
 }
 
 /// Scheduler pick + requeue with the workload's server process count.
 fn sched_ns(w: Workload, seed: u64) -> f64 {
-    let mut sc = workload::build(w, Architecture::NiLrp, seed);
+    let mut sc = workload::build(w, Architecture::NiLrp, seed, OpLog::for_workload(w));
     sc.world.run_until(SimTime::from_millis(1));
     let nprocs = sc
         .world
@@ -419,7 +496,7 @@ fn timer_scan_ns(w: Workload, seed: u64) -> f64 {
     const CALLS: usize = 2_000;
     let (mut weighted, mut events) = (0.0, 0.0);
     for (arch, _) in workload::ARCHS {
-        let mut sc = workload::build(w, arch, seed);
+        let mut sc = workload::build(w, arch, seed, OpLog::for_workload(w));
         sc.warm_up(w);
         sc.world
             .run_until(w.warm_end() + SimDuration::from_nanos(w.window().as_nanos() / 2));
@@ -467,8 +544,14 @@ fn cookie_ns(seed: u64) -> f64 {
     })
 }
 
-pub fn run(w: Workload, seed: u64) -> Vec<(&'static str, f64)> {
-    let frames = sample_frames(w, seed);
+/// Every layer's cost. Besides the per-layer metrics, the result holds
+/// `nic.<arch>.rx_ns_per_frame` for each architecture and
+/// `sim.queue_pending`, the hold model's depth.
+pub fn run(w: Workload, seed: u64, rates: QueueRates) -> Vec<(String, f64)> {
+    let (frames, injected) = sample_frames(w, seed);
+    let host_sent = &frames[injected..];
+    let host_frame_len = host_sent.iter().map(Frame::len).sum::<usize>() / host_sent.len().max(1);
+    let (queue, depth) = queue_ns(w, seed, rates, host_frame_len);
     let specs: Vec<Spec> = frames.iter().map(spec_of).collect();
     let inbound: Vec<Frame> = frames
         .iter()
@@ -491,8 +574,9 @@ pub fn run(w: Workload, seed: u64) -> Vec<(&'static str, f64)> {
     table
         .register(server_key(w), ChannelId(0))
         .expect("fresh table has room");
-    vec![
-        ("sim.queue_ns_per_event", queue_ns(w, seed)),
+    let fixed = [
+        ("sim.queue_ns_per_event", queue),
+        ("sim.queue_pending", depth as f64),
         ("wire.parse_ns_per_frame", time_ns(parse_all)),
         ("wire.build_ns_per_frame", time_ns(build_all)),
         (
@@ -511,7 +595,6 @@ pub fn run(w: Workload, seed: u64) -> Vec<(&'static str, f64)> {
                 inbound.len()
             }),
         ),
-        ("nic.rx_ns_per_frame", nic_rx_ns(w, &inbound)),
         ("stack.tcp_ns_per_segment", time_ns(tcp_pattern(w))),
         (
             "stack.tcp_allocs_per_segment",
@@ -520,5 +603,10 @@ pub fn run(w: Workload, seed: u64) -> Vec<(&'static str, f64)> {
         ("stack.cookie_ns_per_syn", cookie_ns(seed)),
         ("sched.ns_per_pick", sched_ns(w, seed)),
         ("core.timer_scan_ns", timer_scan_ns(w, seed)),
-    ]
+    ];
+    fixed
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .chain(nic_rx_ns(w, &inbound))
+        .collect()
 }

@@ -4,13 +4,15 @@
 //!
 //! ```text
 //! perfbench run --workload <name> --seed <n> --mode plain|sliced|telemetry-off [--spans <file>]
-//! perfbench layers --workload <name> --seed <n>
+//! perfbench layers --workload <name> --seed <n> --queue-rates <events,injected,host_tx,ticks,cpu_busy_ns>
 //! ```
 //!
 //! `run` builds the workload's world on each of the four architectures in
 //! turn, runs the warm-up, then the measured window, checks the outputs
 //! and prints one JSON line. `layers` times calls into each layer's
-//! public functions on inputs from the workload's generators.
+//! public functions on inputs from the workload's generators; the event
+//! queue's inputs follow one world's event rates per simulated second,
+//! measured by a `run`.
 
 mod alloc;
 mod layers;
@@ -29,12 +31,14 @@ struct Args {
     seed: u64,
     mode: Mode,
     spans: Option<String>,
+    queue_rates: Option<layers::QueueRates>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     let command = it.next().ok_or("missing command: run or layers")?;
     let (mut workload, mut seed, mut mode, mut spans) = (None, None, Mode::Plain, None);
+    let mut queue_rates = None;
     while let Some(flag) = it.next() {
         let value = it.next().ok_or(format!("{flag} needs a value"))?;
         match flag.as_str() {
@@ -51,6 +55,11 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--spans" => spans = Some(value),
+            "--queue-rates" => {
+                queue_rates = Some(
+                    layers::QueueRates::parse(&value).ok_or(format!("bad queue rates {value}"))?,
+                )
+            }
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -60,6 +69,7 @@ fn parse_args() -> Result<Args, String> {
         seed: seed.ok_or("missing --seed")?,
         mode,
         spans,
+        queue_rates,
     })
 }
 
@@ -85,20 +95,24 @@ fn run(args: &Args) -> Result<String, String> {
     let mut latencies = Vec::new();
     let mut slices = Vec::new();
     let mut errors = Vec::new();
+    // Each architecture's heap peak is over the heap in use when its world
+    // is built, so what this loop keeps from earlier ones is not in it.
+    let mut heap_peak = 0;
     let mut span_lines = String::new();
     for (arch, tag) in ARCHS {
         let r = workload::run_arch(w, arch, args.seed, args.mode);
         let c = &r.counters;
         archs.push(format!(
-            "{{\"arch\":\"{tag}\",\"setup_s\":{},\"host_s\":{},\"allocs\":{},\"alloc_bytes\":{},\
+            "{{\"arch\":\"{tag}\",\"setup_s\":{},\"host_s\":{},\"heap_peak\":{},\"allocs\":{},\"alloc_bytes\":{},\
              \"events\":{},\"rx_frames\":{},\"classified\":{},\"interrupts\":{},\
              \"early_discards\":{},\"tx_frames\":{},\"late_drops\":{},\"segs_in\":{},\
              \"segs_out\":{},\"retransmits\":{},\"cookies_sent\":{},\"cookies_validated\":{},\
-             \"ctx_switches\":{},\"interrupt_ns\":{},\"cpu_ns\":{},\"arena_checkouts\":{},\
+             \"injected\":{},\"ticks\":{},\"cpu_busy_ns\":{},\"ctx_switches\":{},\"interrupt_ns\":{},\"cpu_ns\":{},\"arena_checkouts\":{},\
              \"arena_reuses\":{},\"ops\":{},\"offered\":{},\"modelled_failures\":{},\
-             \"window_bytes\":{},\"digest\":{}}}",
+             \"window_bytes\":{},\"step_host_ns\":[{}],\"digest\":{}}}",
             r.setup_ns as f64 / 1e9,
             r.host_ns as f64 / 1e9,
+            r.heap_peak,
             r.alloc.allocs,
             r.alloc.bytes,
             c.events,
@@ -113,6 +127,9 @@ fn run(args: &Args) -> Result<String, String> {
             c.retransmits,
             c.cookies_sent,
             c.cookies_validated,
+            c.injected,
+            c.ticks,
+            c.cpu_busy_ns,
             c.ctx_switches,
             c.interrupt_ns,
             c.cpu_ns,
@@ -122,6 +139,11 @@ fn run(args: &Args) -> Result<String, String> {
             r.offered,
             r.modelled_failures,
             r.window_bytes,
+            r.spans
+                .iter()
+                .map(|s| s.host_ns.to_string())
+                .collect::<Vec<_>>()
+                .join(","),
             json_str(&r.digest),
         ));
         for s in &r.spans {
@@ -132,6 +154,7 @@ fn run(args: &Args) -> Result<String, String> {
             );
             slices.push(s.host_ns);
         }
+        heap_peak += r.heap_peak;
         errors.extend(r.errors.into_iter().map(|e| format!("{tag}: {e}")));
         latencies.extend(r.latencies);
     }
@@ -152,7 +175,7 @@ fn run(args: &Args) -> Result<String, String> {
         json_str(&format!("{w:?}")),
         args.seed,
         w.window().as_secs_f64(),
-        alloc::peak_bytes(),
+        heap_peak,
         latencies.len(),
         workload::percentile(&latencies, 0.5),
         workload::percentile(&latencies, 0.99),
@@ -175,12 +198,17 @@ fn main() -> ExitCode {
     let out = match args.command.as_str() {
         "run" => run(&args),
 
-        "layers" => Ok(layers::run(args.workload, args.seed)
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", json_str(k)))
-            .collect::<Vec<_>>()
-            .join(","))
-        .map(|body| format!("{{{body}}}")),
+        "layers" => args
+            .queue_rates
+            .ok_or_else(|| "layers needs --queue-rates".to_string())
+            .map(|rates| {
+                let body = layers::run(args.workload, args.seed, rates)
+                    .iter()
+                    .map(|(k, v)| format!("{}:{v}", json_str(k)))
+                    .collect::<Vec<_>>()
+                    .join(",");
+                format!("{{{body}}}")
+            }),
         other => Err(format!("unknown command {other}")),
     };
     match out {

@@ -7,14 +7,14 @@
 //! record each application operation's completion without changing what
 //! the app does.
 
-use crate::alloc::Snapshot;
+use crate::alloc::{self, Snapshot};
 use lrp_apps::{
     shared, BlastSink, HttpClient, HttpMetrics, HttpWorker, Shared, SharedListener, SinkMetrics,
     TcpBulkMetrics, TcpBulkReceiver, TcpBulkSender,
 };
 use lrp_core::{AppCtx, AppLogic, Architecture, DropPoint, Host, SyscallOp, SyscallRet, World};
 use lrp_experiments::{host_config, syn_flood, HOST_A, HOST_B};
-use lrp_net::{FaultPlan, Injector, LossModel, Pattern};
+use lrp_net::{FaultPlan, Injector, LinkConfig, LossModel, Pattern};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_wire::{tcp, udp, Endpoint, Frame, Ipv4Addr};
 use std::cell::RefCell;
@@ -32,6 +32,11 @@ pub const ARCHS: [(Architecture, &str); 4] = [
 
 /// Simulated length of one traced slice.
 pub const SLICE: SimDuration = SimDuration::from_millis(10);
+/// Simulated length of the pieces an untraced window runs in. The harness
+/// takes each piece's fastest host time over the repetitions.
+pub const CHUNK: SimDuration = SimDuration::from_secs(1);
+/// The world's statclock tick: one `Tick` event per host this often.
+pub const TICK: SimDuration = SimDuration::from_millis(10);
 
 pub const UDP_PORT: u16 = 9000;
 pub const UDP_SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
@@ -83,13 +88,21 @@ impl Workload {
     pub fn window(self) -> SimDuration {
         match self {
             Workload::UdpOverload => SimDuration::from_secs(3),
-            Workload::TcpBulk => SimDuration::from_secs(60),
+            Workload::TcpBulk => SimDuration::from_secs(30),
             Workload::HttpSynflood => SimDuration::from_secs(8),
         }
     }
 
     pub fn window_end(self) -> SimTime {
         self.warm_end() + self.window()
+    }
+
+    /// Traffic injectors in each of the workload's worlds.
+    pub fn injectors(self) -> usize {
+        match self {
+            Workload::TcpBulk => 0,
+            Workload::UdpOverload | Workload::HttpSynflood => 1,
+        }
     }
 }
 
@@ -106,7 +119,10 @@ pub struct Op {
 /// What the probes record, shared with the harness.
 #[derive(Default)]
 pub struct OpLog {
+    /// Reserved up front for every operation the run can complete, so the
+    /// probe never allocates inside a measured window.
     pub ops: Vec<Op>,
+    reserved: usize,
     /// Operations offered so far (datagrams injected, writes issued,
     /// connects issued).
     pub offered: u64,
@@ -117,9 +133,23 @@ pub struct OpLog {
 }
 
 impl OpLog {
-    fn with_capacity(n: usize) -> Shared<OpLog> {
+    /// An empty log with room for more operations than the workload can
+    /// complete by the window's end, whatever the seed: the injector's
+    /// Poisson count with 20 % to spare, a link that carries nothing but
+    /// the 16 KiB writes, or clients whose every connect-to-response takes
+    /// only the two round trips it needs at the least.
+    pub fn for_workload(w: Workload) -> Shared<OpLog> {
+        let end = w.window_end().as_nanos();
+        let link = LinkConfig::default();
+        let n = match w {
+            Workload::UdpOverload => (UDP_PPS * w.window_end().as_secs_f64() * 1.2) as u64,
+            Workload::TcpBulk => end / link.tx_time(TCP_WRITE).as_nanos() + 1,
+            Workload::HttpSynflood => HTTP_CLIENTS as u64 * end / (4 * link.latency.as_nanos()) + 1,
+        } as usize;
+        let ops = Vec::with_capacity(n);
         Rc::new(RefCell::new(OpLog {
-            ops: Vec::with_capacity(n),
+            reserved: ops.capacity(),
+            ops,
             ..OpLog::default()
         }))
     }
@@ -171,11 +201,13 @@ impl Scenario {
     }
 }
 
-pub fn build(w: Workload, arch: Architecture, seed: u64) -> Scenario {
+/// Builds the workload's world on `arch`; the probes record into `log`
+/// (from [`OpLog::for_workload`]).
+pub fn build(w: Workload, arch: Architecture, seed: u64, log: Shared<OpLog>) -> Scenario {
     match w {
-        Workload::UdpOverload => build_udp(arch, seed),
-        Workload::TcpBulk => build_tcp(arch, seed),
-        Workload::HttpSynflood => build_http(arch, seed),
+        Workload::UdpOverload => build_udp(arch, seed, log),
+        Workload::TcpBulk => build_tcp(arch, seed, log),
+        Workload::HttpSynflood => build_http(arch, seed, log),
     }
 }
 
@@ -269,9 +301,7 @@ impl AppLogic for UdpProbe {
     }
 }
 
-fn build_udp(arch: Architecture, seed: u64) -> Scenario {
-    let w = Workload::UdpOverload;
-    let log = OpLog::with_capacity((UDP_PPS * w.window_end().as_secs_f64() * 1.2) as usize);
+fn build_udp(arch: Architecture, seed: u64, log: Shared<OpLog>) -> Scenario {
     let mut world = World::with_defaults();
     let mut server = Host::new(host_config(arch), HOST_B);
     server.spawn_app(
@@ -394,8 +424,7 @@ impl AppLogic for TcpRecvProbe {
     }
 }
 
-fn build_tcp(arch: Architecture, seed: u64) -> Scenario {
-    let log = OpLog::with_capacity(64 * 1024);
+fn build_tcp(arch: Architecture, seed: u64, log: Shared<OpLog>) -> Scenario {
     let writes: Shared<Writes> = Rc::new(RefCell::new(Writes {
         pending: VecDeque::with_capacity(64),
         ..Writes::default()
@@ -486,8 +515,7 @@ impl AppLogic for HttpProbe {
     }
 }
 
-fn build_http(arch: Architecture, seed: u64) -> Scenario {
-    let log = OpLog::with_capacity(50_000);
+fn build_http(arch: Architecture, seed: u64, log: Shared<OpLog>) -> Scenario {
     let cfg = syn_flood::config(arch, syn_flood::Defense::Cookies);
     let mut world = World::with_defaults();
     let mut server = Host::new(cfg, HOST_B);
@@ -545,13 +573,19 @@ fn build_http(arch: Architecture, seed: u64) -> Scenario {
 pub struct Counters {
     pub events: u64,
     pub rx_frames: u64,
-    /// Frames classified by the demux function (every architecture but
-    /// BSD classifies each received frame).
+    /// Frames the host classifies in software (SOFT-LRP and Early-Demux;
+    /// NI-LRP classifies in the adaptor's firmware, which the NIC's own
+    /// receive cost covers, and BSD does not classify).
     pub classified: u64,
     pub interrupts: u64,
     pub early_discards: u64,
+    /// Frames put on a link: the hosts' transmissions plus injected ones.
     pub tx_frames: u64,
     pub injected: u64,
+    /// Statclock `Tick` events the world has dispatched.
+    pub ticks: u64,
+    /// Simulated time the CPUs spent running work chunks, ns.
+    pub cpu_busy_ns: u64,
     /// Frames discarded after protocol processing: full socket buffer or
     /// full listen backlog.
     pub late_drops: u64,
@@ -580,7 +614,7 @@ impl Counters {
         for h in &w.hosts {
             let nic = h.nic.stats();
             c.rx_frames += nic.rx_frames;
-            if h.cfg.arch != Architecture::Bsd {
+            if matches!(h.cfg.arch, Architecture::SoftLrp | Architecture::EarlyDemux) {
                 c.classified += nic.rx_frames;
             }
             c.interrupts += nic.interrupts;
@@ -598,6 +632,10 @@ impl Counters {
             c.ctx_switches += h.stats.ctx_switches;
             c.interrupt_ns += h.sched.account_totals().interrupt.as_nanos();
             c.cpu_ns += w.now.as_nanos() * h.ncpus() as u64;
+            c.cpu_busy_ns += (0..h.ncpus())
+                .map(|i| h.cpu_busy(i).as_nanos())
+                .sum::<u64>();
+            c.ticks += w.now.as_nanos() / TICK.as_nanos();
             // Host statistics count ring overruns (as `RxRing`) but not
             // the NI firmware's early discards, which the host never sees.
             c.modelled_failures += h.stats.total_drops() + nic.early_discards;
@@ -629,6 +667,8 @@ impl Counters {
             early_discards: self.early_discards - e.early_discards,
             tx_frames: self.tx_frames - e.tx_frames,
             injected: self.injected - e.injected,
+            ticks: self.ticks - e.ticks,
+            cpu_busy_ns: self.cpu_busy_ns - e.cpu_busy_ns,
             late_drops: self.late_drops - e.late_drops,
             segs_in: self.segs_in - e.segs_in,
             segs_out: self.segs_out - e.segs_out,
@@ -647,15 +687,16 @@ impl Counters {
 
 fn injector_count(sc: &Scenario) -> usize {
     match sc.handles {
-        Handles::Tcp { .. } => 0,
-        Handles::Udp { .. } | Handles::Http { .. } => 1,
+        Handles::Udp { .. } => Workload::UdpOverload.injectors(),
+        Handles::Tcp { .. } => Workload::TcpBulk.injectors(),
+        Handles::Http { .. } => Workload::HttpSynflood.injectors(),
     }
 }
 
 /// How a run is observed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
-    /// The timed run: one `run_until` over the window.
+    /// The timed run: the window in [`CHUNK`]-long `run_until` calls.
     Plain,
     /// The traced run: the window in [`SLICE`]-long `run_until` calls,
     /// with one span per slice.
@@ -664,7 +705,8 @@ pub enum Mode {
     TelemetryOff,
 }
 
-/// One slice of a traced run.
+/// One `run_until` call of a window: a slice of a traced run, or a chunk
+/// of an untraced one.
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
     pub slice: u32,
@@ -677,6 +719,9 @@ pub struct Span {
 pub struct ArchRun {
     pub setup_ns: u64,
     pub host_ns: u64,
+    /// Peak live heap over the heap in use before the world was built,
+    /// from the build to the end of the measured window.
+    pub heap_peak: u64,
     pub alloc: Snapshot,
     pub counters: Counters,
     /// Latencies of operations completed in the window, simulated ns.
@@ -693,8 +738,18 @@ pub struct ArchRun {
 }
 
 pub fn run_arch(w: Workload, arch: Architecture, seed: u64, mode: Mode) -> ArchRun {
+    // Every architecture starts from an empty frame arena, as in a fresh
+    // process: switching recycling off frees the buffers an earlier
+    // world left in the thread's cache.
+    lrp_wire::set_frame_pooling(false);
+    lrp_wire::set_frame_pooling(true);
+    // The probe log and the span list are reserved before the heap
+    // baseline, so only the simulator's own storage is in the peak.
+    let log = OpLog::for_workload(w);
+    let mut spans = Vec::with_capacity((w.window().as_nanos() / SLICE.as_nanos()) as usize + 1);
+    let heap0 = alloc::reset_peak();
     let t0 = Instant::now();
-    let mut sc = build(w, arch, seed);
+    let mut sc = build(w, arch, seed, log);
     if mode == Mode::TelemetryOff {
         for h in &mut sc.world.hosts {
             h.set_telemetry(false);
@@ -709,26 +764,23 @@ pub fn run_arch(w: Workload, arch: Architecture, seed: u64, mode: Mode) -> ArchR
     };
     let c0 = Counters::sample(&sc);
     let end = w.window_end();
-    let mut spans = Vec::with_capacity((w.window().as_nanos() / SLICE.as_nanos()) as usize + 1);
+    let step = if mode == Mode::Sliced { SLICE } else { CHUNK };
     let a0 = Snapshot::now();
     let t1 = Instant::now();
-    if mode == Mode::Sliced {
-        let mut at = w.warm_end();
-        while at < end {
-            at = (at + SLICE).min(end);
-            let (s0, e0, sa) = (Instant::now(), sc.world.events_processed(), Snapshot::now());
-            sc.world.run_until(at);
-            spans.push(Span {
-                slice: spans.len() as u32,
-                host_ns: s0.elapsed().as_nanos() as u64,
-                events: sc.world.events_processed() - e0,
-                allocs: Snapshot::now().since(sa).allocs,
-            });
-        }
-    } else {
-        sc.world.run_until(end);
+    let mut at = w.warm_end();
+    while at < end {
+        at = (at + step).min(end);
+        let (s0, e0, sa) = (Instant::now(), sc.world.events_processed(), Snapshot::now());
+        sc.world.run_until(at);
+        spans.push(Span {
+            slice: spans.len() as u32,
+            host_ns: s0.elapsed().as_nanos() as u64,
+            events: sc.world.events_processed() - e0,
+            allocs: Snapshot::now().since(sa).allocs,
+        });
     }
     let host_ns = t1.elapsed().as_nanos() as u64;
+    let heap_peak = alloc::peak_bytes() - heap0;
 
     let alloc = Snapshot::now().since(a0);
     let counters = Counters::sample(&sc).since(c0);
@@ -739,6 +791,7 @@ pub fn run_arch(w: Workload, arch: Architecture, seed: u64, mode: Mode) -> ArchR
     let run = ArchRun {
         setup_ns,
         host_ns,
+        heap_peak,
         alloc,
         counters,
         latencies: Vec::new(),
@@ -814,6 +867,14 @@ fn finish(sc: &mut Scenario, w: Workload, mode: Mode, mut run: ArchRun) -> ArchR
     }
     let log = sc.log.borrow();
     errors.extend(log.errors.iter().cloned());
+    if log.ops.capacity() != log.reserved {
+        errors.push(format!(
+            "{} operations outgrew the probe log's reservation of {}, so its storage \
+             counted in the heap and allocation figures",
+            log.ops.len(),
+            log.reserved
+        ));
+    }
     run.latencies = log
         .ops
         .iter()
