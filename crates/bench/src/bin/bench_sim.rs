@@ -4,12 +4,9 @@
 //! the second point of the ROADMAP's wall-clock trajectory (after
 //! `BENCH_tcp.json`).
 //!
-//! Every workload runs twice: once in **baseline** mode (legacy binary
-//! heap event queue, frame-arena recycling off, single-frame RX drain —
-//! the pre-overhaul configuration) and once in **current** mode (timer
-//! wheel, pooled frames, batched RX). The emitted document carries both
-//! series plus the fig3 speedup ratio, so the trajectory stays
-//! before/after-comparable run over run.
+//! The fig3 blast runs with full telemetry on and off in interleaved
+//! pairs; the median of the paired overhead ratios is gated against the
+//! <10% telemetry budget.
 
 use lrp_core::{Architecture, World};
 use lrp_experiments::{fault_sweep, fig3, livelock_timeline};
@@ -17,59 +14,17 @@ use lrp_sim::SimTime;
 use lrp_stack::tcp::CcAlgo;
 use std::time::Instant;
 
-/// Timed attempts per (workload, mode); the fastest is reported. The
-/// minimum over several attempts is the standard estimator of true cost
-/// on a machine with background load — every slowdown is additive noise.
-const ATTEMPTS: u32 = 7;
+/// Timed runs per (workload, architecture, telemetry setting); each row
+/// reports the fastest. On fig3 these are also the telemetry on/off
+/// pairs. Odd, so the median pair is a single sample.
+const ATTEMPTS: usize = 21;
 
-/// Aggregate fig3 events/sec measured on the pre-overhaul tree (commit
-/// 6e15d92: lazy-cancel heap, per-frame `Vec` allocation, unbatched RX,
-/// SipHash host maps), best of 3 on the reference machine. The in-binary
-/// baseline mode can only toggle the switchable parts (queue, pooling,
-/// batching); shared-code wins (arena-typed payloads, `Cow` delivery,
-/// fast host maps) speed both modes up, so the recorded number is the
-/// honest before-point of the trajectory.
-const RECORDED_PRE_PR_FIG3_EPS: f64 = 2_686_932.0;
-
-/// Which implementation set a run uses.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Pre-overhaul configuration: heap queue, no pooling, no batching.
-    Baseline,
-    /// The shipped defaults: timer wheel, arena frames, batched RX.
-    Current,
-}
-
-impl Mode {
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Baseline => "baseline",
-            Mode::Current => "current",
-        }
-    }
-
-    /// Applies the mode to a freshly built world (before `run_until`).
-    fn apply(self, world: &mut World) {
-        match self {
-            Mode::Baseline => {
-                world.use_queue_impl(lrp_sim::QueueImpl::Heap);
-                for h in &mut world.hosts {
-                    h.cfg.rx_batch = 1;
-                }
-                lrp_wire::set_frame_pooling(false);
-            }
-            Mode::Current => {
-                world.use_queue_impl(lrp_sim::QueueImpl::Wheel);
-                lrp_wire::set_frame_pooling(true);
-            }
-        }
-    }
-}
+/// The full-telemetry budget: at most this fraction of fig3 events/sec.
+const TELEMETRY_BUDGET: f64 = 0.10;
 
 struct Row {
     experiment: &'static str,
     arch: &'static str,
-    mode: Mode,
     /// Full telemetry (traces, spans, sketches, watchdog, timeline) on?
     telemetry: bool,
     events: u64,
@@ -77,37 +32,51 @@ struct Row {
     events_per_sec: f64,
 }
 
-/// Runs one world-building closure to `dur` under `mode`, best of
-/// [`ATTEMPTS`]; returns (events, elapsed_ns, events/sec). When
-/// `telemetry` is false every host's telemetry is disabled after build —
-/// the experiment builders turn it on by default, so this is the
-/// with/without pair the <10% overhead budget is measured on.
-fn time_world(
-    mode: Mode,
-    telemetry: bool,
-    dur: SimTime,
-    build: impl Fn() -> World,
-) -> (u64, u128, f64) {
-    let mut best: Option<(u64, u128)> = None;
-    for _ in 0..ATTEMPTS {
-        let mut world = build();
-        mode.apply(&mut world);
-        if !telemetry {
-            for h in &mut world.hosts {
-                h.set_telemetry(false);
-            }
-        }
-        let start = Instant::now();
-        world.run_until(dur);
-        let elapsed = start.elapsed().as_nanos();
-        let events = world.events_processed();
-        if best.is_none_or(|(_, b)| elapsed < b) {
-            best = Some((events, elapsed));
+impl Row {
+    /// The fastest of `runs` (events, elapsed_ns) samples.
+    fn best(
+        experiment: &'static str,
+        arch: Architecture,
+        telemetry: bool,
+        runs: &[(u64, u128)],
+    ) -> Self {
+        let &(events, elapsed_ns) = runs
+            .iter()
+            .min_by_key(|&&(_, ns)| ns)
+            .expect("at least one run");
+        let row = Row {
+            experiment,
+            arch: arch_tag(arch),
+            telemetry,
+            events,
+            elapsed_ns,
+            events_per_sec: events as f64 / (elapsed_ns as f64 / 1e9),
+        };
+        println!(
+            "{}/{}/telemetry-{}: {events} events in {:.1} ms ({:.0} events/s)",
+            row.experiment,
+            row.arch,
+            if telemetry { "on" } else { "off" },
+            elapsed_ns as f64 / 1e6,
+            row.events_per_sec
+        );
+        row
+    }
+}
+
+/// Builds a world, disables every host's telemetry unless `telemetry`
+/// (the experiment builders turn it on), and times `run_until(dur)`.
+/// Returns (events, elapsed_ns); building is not timed.
+fn time_once(telemetry: bool, dur: SimTime, build: &impl Fn() -> World) -> (u64, u128) {
+    let mut world = build();
+    if !telemetry {
+        for h in &mut world.hosts {
+            h.set_telemetry(false);
         }
     }
-    let (events, elapsed) = best.expect("at least one attempt");
-    let eps = events as f64 / (elapsed as f64 / 1e9);
-    (events, elapsed, eps)
+    let start = Instant::now();
+    world.run_until(dur);
+    (world.events_processed(), start.elapsed().as_nanos())
 }
 
 fn arch_tag(arch: Architecture) -> &'static str {
@@ -119,159 +88,126 @@ fn arch_tag(arch: Architecture) -> &'static str {
     }
 }
 
+/// Events/sec over a set of (events, elapsed_ns) samples.
+fn aggregate_eps(runs: impl Iterator<Item = (u64, u128)>) -> f64 {
+    let (events, ns) = runs.fold((0u64, 0u128), |(e, n), (de, dn)| (e + de, n + dn));
+    events as f64 / (ns as f64 / 1e9)
+}
+
+/// The `q`-quantile of sorted samples, by nearest rank.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
 fn main() {
     let mut rows: Vec<Row> = Vec::new();
-    let modes = [Mode::Baseline, Mode::Current];
 
-    // fig3: the Figure-3 UDP blast at 12 000 pkts/s (Poisson, seed 7).
-    for arch in [
+    // fig3: the Figure-3 UDP blast at 12 000 pkts/s (Poisson, seed 7),
+    // with telemetry on and off in interleaved pairs. Pair i runs every
+    // architecture back to back in both settings, alternating which
+    // setting goes first, so drift in machine speed hits both sides of
+    // a pair alike; the pair's overhead is 1 - on/off events/sec summed
+    // over the architectures.
+    let fig3_archs = [
         Architecture::Bsd,
         Architecture::SoftLrp,
         Architecture::NiLrp,
-    ] {
-        for mode in modes {
-            // In current mode also measure with telemetry fully disabled:
-            // the pair enforces the <10% full-telemetry overhead budget.
-            let tele_settings: &[bool] = if mode == Mode::Current {
-                &[true, false]
-            } else {
-                &[true]
-            };
-            for &telemetry in tele_settings {
-                let (events, elapsed_ns, eps) =
-                    time_world(mode, telemetry, SimTime::from_secs(1), || {
-                        fig3::build_seeded(arch, 12_000.0, true, 7).0
-                    });
-                println!(
-                    "fig3/{}/{}/telemetry-{}: {events} events in {:.1} ms ({eps:.0} events/s)",
-                    arch_tag(arch),
-                    mode.name(),
-                    if telemetry { "on" } else { "off" },
-                    elapsed_ns as f64 / 1e6
-                );
-                rows.push(Row {
-                    experiment: "fig3",
-                    arch: arch_tag(arch),
-                    mode,
-                    telemetry,
-                    events,
-                    elapsed_ns,
-                    events_per_sec: eps,
-                });
+    ];
+    // runs[arch][telemetry as usize][pair]
+    let mut runs = vec![[Vec::new(), Vec::new()]; fig3_archs.len()];
+    for pair in 0..ATTEMPTS {
+        let order = if pair % 2 == 0 {
+            [true, false]
+        } else {
+            [false, true]
+        };
+        for (a, &arch) in fig3_archs.iter().enumerate() {
+            for telemetry in order {
+                let build = || fig3::build_seeded(arch, 12_000.0, true, 7).0;
+                let sample = time_once(telemetry, SimTime::from_secs(1), &build);
+                runs[a][telemetry as usize].push(sample);
             }
+        }
+    }
+    let mut overheads: Vec<f64> = (0..ATTEMPTS)
+        .map(|pair| {
+            let on = aggregate_eps(runs.iter().map(|r| r[1][pair]));
+            let off = aggregate_eps(runs.iter().map(|r| r[0][pair]));
+            1.0 - on / off
+        })
+        .collect();
+    overheads.sort_by(f64::total_cmp);
+    let (q1, median, q3) = (
+        quantile(&overheads, 0.25),
+        quantile(&overheads, 0.5),
+        quantile(&overheads, 0.75),
+    );
+    for (a, &arch) in fig3_archs.iter().enumerate() {
+        for telemetry in [true, false] {
+            rows.push(Row::best(
+                "fig3",
+                arch,
+                telemetry,
+                &runs[a][telemetry as usize],
+            ));
         }
     }
 
     // livelock: 20 000 pkts/s overload with the metered compute victim
     // (telemetry + timeline on — the heaviest per-event path).
     for arch in [Architecture::Bsd, Architecture::NiLrp] {
-        for mode in modes {
-            let (events, elapsed_ns, eps) = time_world(mode, true, SimTime::from_secs(1), || {
-                livelock_timeline::build(arch, livelock_timeline::SEED).0
-            });
-            println!(
-                "livelock/{}/{}: {events} events in {:.1} ms ({eps:.0} events/s)",
-                arch_tag(arch),
-                mode.name(),
-                elapsed_ns as f64 / 1e6
-            );
-            rows.push(Row {
-                experiment: "livelock",
-                arch: arch_tag(arch),
-                mode,
-                telemetry: true,
-                events,
-                elapsed_ns,
-                events_per_sec: eps,
-            });
-        }
+        let build = || livelock_timeline::build(arch, livelock_timeline::SEED).0;
+        let samples: Vec<_> = (0..ATTEMPTS)
+            .map(|_| time_once(true, SimTime::from_secs(1), &build))
+            .collect();
+        rows.push(Row::best("livelock", arch, true, &samples));
     }
 
     // cc: TCP bulk transfer (NewReno) through a 2 % bursty-loss link —
-    // retransmit-timer churn is the event-queue stress the heap bloat bug
-    // was about.
+    // retransmit-timer churn stresses the event queue's cancel path.
     for arch in [Architecture::Bsd, Architecture::NiLrp] {
-        for mode in modes {
-            let (events, elapsed_ns, eps) = time_world(mode, true, SimTime::from_secs(20), || {
-                let plan = fault_sweep::burst_plan(0xB57, 0.02);
-                let (world, _m) = fault_sweep::build_cc(arch, CcAlgo::NewReno, plan, 1 << 20);
-                world
-            });
-            println!(
-                "cc/{}/{}: {events} events in {:.1} ms ({eps:.0} events/s)",
-                arch_tag(arch),
-                mode.name(),
-                elapsed_ns as f64 / 1e6
-            );
-            rows.push(Row {
-                experiment: "cc",
-                arch: arch_tag(arch),
-                mode,
-                telemetry: true,
-                events,
-                elapsed_ns,
-                events_per_sec: eps,
-            });
-        }
+        let build = || {
+            let plan = fault_sweep::burst_plan(0xB57, 0.02);
+            fault_sweep::build_cc(arch, CcAlgo::NewReno, plan, 1 << 20).0
+        };
+        let samples: Vec<_> = (0..ATTEMPTS)
+            .map(|_| time_once(true, SimTime::from_secs(20), &build))
+            .collect();
+        rows.push(Row::best("cc", arch, true, &samples));
     }
-
-    // fig3 speedup: total events/sec across architectures, current over
-    // baseline (the acceptance ratio for the overhaul).
-    let agg = |exp: &str, mode: Mode, telemetry: bool| {
-        let (ev, ns) = rows
-            .iter()
-            .filter(|r| r.experiment == exp && r.mode == mode && r.telemetry == telemetry)
-            .fold((0u64, 0u128), |(e, n), r| (e + r.events, n + r.elapsed_ns));
-        ev as f64 / (ns as f64 / 1e9)
-    };
-    let fig3_current = agg("fig3", Mode::Current, true);
-    let fig3_speedup = fig3_current / agg("fig3", Mode::Baseline, true);
-    let fig3_speedup_vs_recorded = fig3_current / RECORDED_PRE_PR_FIG3_EPS;
-    println!("fig3 speedup (current/baseline): {fig3_speedup:.2}x");
-    println!("fig3 speedup (current/recorded pre-overhaul): {fig3_speedup_vs_recorded:.2}x");
 
     // The telemetry overhead budget: full telemetry (traces, spans,
     // sketches, watchdog, timeline, sockstats) must cost <10% events/sec
     // on the fig3 blast. Enforced here so the bench run itself fails CI
     // when instrumentation creep breaks the budget.
-    let fig3_tele_off = agg("fig3", Mode::Current, false);
-    let fig3_telemetry_overhead = 1.0 - fig3_current / fig3_tele_off;
     println!(
-        "fig3 telemetry: on {fig3_current:.0} ev/s, off {fig3_tele_off:.0} ev/s \
-         (overhead {:.1}%)",
-        fig3_telemetry_overhead * 100.0
+        "fig3 telemetry overhead over {ATTEMPTS} pairs: median {:.1}% (quartiles {:.1}%..{:.1}%)",
+        median * 100.0,
+        q1 * 100.0,
+        q3 * 100.0
     );
     assert!(
-        fig3_telemetry_overhead < 0.10,
-        "full telemetry costs {:.1}% events/sec on fig3 — budget is <10%",
-        fig3_telemetry_overhead * 100.0
+        median < TELEMETRY_BUDGET,
+        "full telemetry costs {:.1}% events/sec on fig3 (median of {ATTEMPTS} pairs) — budget is <{:.0}%",
+        median * 100.0,
+        TELEMETRY_BUDGET * 100.0
     );
 
     let entries: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{ \"experiment\": \"{}\", \"arch\": \"{}\", \"mode\": \"{}\", \
-                 \"telemetry\": {}, \
+                "    {{ \"experiment\": \"{}\", \"arch\": \"{}\", \"telemetry\": {}, \
                  \"events\": {}, \"elapsed_ns\": {}, \"events_per_sec\": {:.1} }}",
-                r.experiment,
-                r.arch,
-                r.mode.name(),
-                r.telemetry,
-                r.events,
-                r.elapsed_ns,
-                r.events_per_sec
+                r.experiment, r.arch, r.telemetry, r.events, r.elapsed_ns, r.events_per_sec
             )
         })
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"sim_event_loop\",\n  \"attempts\": {ATTEMPTS},\n  \
-         \"fig3_speedup\": {fig3_speedup:.3},\n  \
-         \"recorded_pre_pr_fig3_events_per_sec\": {RECORDED_PRE_PR_FIG3_EPS:.1},\n  \
-         \"fig3_speedup_vs_recorded\": {fig3_speedup_vs_recorded:.3},\n  \
-         \"fig3_telemetry_on_events_per_sec\": {fig3_current:.1},\n  \
-         \"fig3_telemetry_off_events_per_sec\": {fig3_tele_off:.1},\n  \
-         \"fig3_telemetry_overhead\": {fig3_telemetry_overhead:.4},\n  \
+         \"fig3_telemetry_overhead\": {median:.4},\n  \
+         \"fig3_telemetry_overhead_q1\": {q1:.4},\n  \
+         \"fig3_telemetry_overhead_q3\": {q3:.4},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

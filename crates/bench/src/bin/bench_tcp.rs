@@ -1,8 +1,7 @@
 //! Measures TCP segment-arrival processing throughput per congestion
 //! controller and writes `BENCH_tcp.json` at the repository root — the
 //! first point of the ROADMAP's wall-clock trajectory. The workload is
-//! the same established-pair round trip the `tcp_cc` criterion-shim
-//! bench times interactively.
+//! an established pair's write → deliver → ack round trip.
 
 use lrp_bench::TcpBenchPair;
 use lrp_stack::tcp::CcAlgo;

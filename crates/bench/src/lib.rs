@@ -1,6 +1,5 @@
-//! Benchmark support crate: see `benches/` for the Criterion harnesses
-//! that regenerate each of the paper's tables and figures, plus
-//! microbenchmarks of the hot kernel paths.
+//! Benchmark support crate: the shared TCP workload behind the
+//! `bench_tcp` binary. `bench_sim` times the whole simulator.
 
 #![warn(missing_docs)]
 

@@ -12,6 +12,13 @@ use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::SockId;
 use lrp_wire::Frame;
 
+/// Maximum receive-ring frames the driver hands to the kernel per
+/// interrupt (BSD / SOFT-LRP / Early-Demux). Without interrupt
+/// coalescing the ring holds exactly one frame when the interrupt fires;
+/// under coalescing the batch is what lets held frames ride along.
+/// Per-frame driver cost is charged for every frame in the batch.
+const RX_BATCH: usize = 16;
+
 impl Host {
     /// A frame arrives from the link.
     ///
@@ -40,8 +47,7 @@ impl Host {
                         // encapsulation into the shared IP queue; drop
                         // (after the driver work!) if full.
                         let mut batch = std::mem::take(&mut self.rx_scratch);
-                        self.nic
-                            .ring_drain_into(rxq, self.cfg.rx_batch.max(1), &mut batch);
+                        self.nic.ring_drain_into(rxq, RX_BATCH, &mut batch);
                         debug_assert!(!batch.is_empty(), "frame just queued");
                         let n = batch.len() as u64;
                         for f in batch.drain(..) {
@@ -86,8 +92,7 @@ impl Host {
                         // arrival order; the handler's cost covers the
                         // whole batch (per-frame driver + demux work).
                         let mut batch = std::mem::take(&mut self.rx_scratch);
-                        self.nic
-                            .ring_drain_into(rxq, self.cfg.rx_batch.max(1), &mut batch);
+                        self.nic.ring_drain_into(rxq, RX_BATCH, &mut batch);
                         debug_assert!(!batch.is_empty(), "frame just queued");
                         self.cur_cpu = rxq % ncpus;
                         let n = batch.len() as u64;

@@ -199,18 +199,6 @@ impl World {
         self.queue.schedule(at, ev);
     }
 
-    /// Selects the event-queue implementation (timer wheel vs. legacy
-    /// heap). Both pop in identical order, so results are bit-identical
-    /// either way; benchmarks use this to A/B the two. Must be called
-    /// before the world boots.
-    pub fn use_queue_impl(&mut self, imp: lrp_sim::QueueImpl) {
-        assert!(
-            !self.started && self.queue.is_empty(),
-            "queue impl must be chosen before the world starts"
-        );
-        self.queue = EventQueue::with_impl(imp);
-    }
-
     /// Boots all hosts and arms periodic events. Runs automatically on the
     /// first `run_until`.
     fn start(&mut self) {

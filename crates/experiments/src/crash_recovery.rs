@@ -174,14 +174,6 @@ pub fn collect_recovery(
     }
 }
 
-/// The recovery scenario across all architectures.
-pub fn run_recovery(duration: SimTime) -> Vec<RecoveryPoint> {
-    crate::all_architectures()
-        .into_iter()
-        .map(|arch| measure_recovery(arch, duration))
-        .collect()
-}
-
 /// Runs the flood scenario for one architecture: Figure 5's build with
 /// the SYN cache switched on.
 pub fn measure_flood(arch: Architecture, syn_pps: f64, duration: SimTime) -> FloodPoint {

@@ -250,11 +250,6 @@ impl LinkFaults {
         &self.plan
     }
 
-    /// True if the Gilbert–Elliott chain is currently in the bad state.
-    pub fn in_bad_state(&self) -> bool {
-        self.bad
-    }
-
     /// Draws the loss verdict for one frame. Consumes RNG only when a
     /// loss model is configured.
     fn lose(&mut self) -> bool {

@@ -105,11 +105,6 @@ impl TxLink {
         now >= self.busy_until
     }
 
-    /// The time the transmitter becomes free.
-    pub fn free_at(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Accepts a frame for transmission at `now` (must be idle — the NIC
     /// holds frames in its interface queue until then) and returns
     /// `(tx_done, arrival)`: when the transmitter frees up and when the

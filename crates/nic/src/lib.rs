@@ -324,11 +324,6 @@ impl Nic {
         self.rx_rings = (0..n).map(|_| std::collections::VecDeque::new()).collect();
     }
 
-    /// Number of RX queues.
-    pub fn rx_queues(&self) -> usize {
-        self.rx_rings.len()
-    }
-
     /// The RX queue a frame steers to: the RSS hash of its flow key, or
     /// queue 0 for traffic with no transport flow (fragments, ARP, ICMP,
     /// forwarded and malformed frames).
@@ -551,18 +546,6 @@ impl Nic {
         }
     }
 
-    /// Takes the next frame from the first non-empty receive ring (driver
-    /// interrupt handler, BSD/Soft modes). Single-queue NICs have exactly
-    /// one ring, so this is *the* ring there.
-    pub fn ring_dequeue(&mut self) -> Option<Frame> {
-        self.rx_rings.iter_mut().find_map(|r| r.pop_front())
-    }
-
-    /// Takes the next frame from a specific RX queue's ring.
-    pub fn ring_dequeue_from(&mut self, rxq: usize) -> Option<Frame> {
-        self.rx_rings[rxq].pop_front()
-    }
-
     /// Drains up to `max` frames from RX queue `rxq` into `out`,
     /// preserving arrival order (the driver's per-interrupt ring batch).
     /// `out` is a caller-owned scratch buffer so the hot path reuses its
@@ -605,11 +588,6 @@ impl Nic {
         let n = self.ifq.len();
         self.ifq.clear();
         n
-    }
-
-    /// Frames currently waiting to transmit.
-    pub fn ifq_depth(&self) -> usize {
-        self.ifq.len()
     }
 
     /// The channel the most recent [`Nic::rx_frame`] enqueued into, if any
@@ -656,11 +634,6 @@ impl Nic {
         self.proxy.icmp = Some(c);
     }
 
-    /// Registers a proxy daemon channel for ARP.
-    pub fn set_arp_proxy(&mut self, c: ChannelId) {
-        self.proxy.arp = Some(c);
-    }
-
     /// Registers a proxy daemon channel for IP forwarding.
     pub fn set_forward_proxy(&mut self, c: ChannelId) {
         self.proxy.forward = Some(c);
@@ -689,7 +662,9 @@ mod tests {
         let mut nic = Nic::new(DemuxMode::None, LOCAL, 8);
         assert_eq!(nic.rx_frame(udp_frame(80)), RxOutcome::Interrupt(0));
         assert_eq!(nic.ring_depth(), 1);
-        assert!(nic.ring_dequeue().is_some());
+        let mut batch = Vec::new();
+        nic.ring_drain_into(0, 16, &mut batch);
+        assert_eq!(batch.len(), 1);
         assert_eq!(nic.ring_depth(), 0);
         assert_eq!(nic.stats().interrupts, 1);
     }

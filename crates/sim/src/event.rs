@@ -1,32 +1,20 @@
 //! The event queue at the heart of the simulation.
 //!
-//! [`EventQueue`] is a priority queue of `(SimTime, E)` pairs ordered by
+//! [`EventQueue`](crate::EventQueue) is a priority queue of `(SimTime, E)` pairs ordered by
 //! time, with ties broken by insertion order (FIFO). Every scheduled event
 //! gets an [`EventKey`] that can be used to cancel it later — cancellation
 //! is how the CPU model revokes a "work completes at T" event when an
 //! interrupt preempts the work.
 //!
-//! Two interchangeable implementations sit behind the facade, selected
-//! by [`QueueImpl`]:
-//!
-//! * [`TimerWheel`](crate::wheel::TimerWheel) — the default: a
-//!   hierarchical timer wheel with O(1) schedule and a cancel that
-//!   *removes* the entry, so cancelled timers cost nothing afterwards.
-//! * [`HeapQueue`](crate::heap::HeapQueue) — the original binary heap
-//!   (bloat-fixed), kept for A/B benchmarking and as the equivalence
-//!   oracle in the dual-implementation property test.
-//!
-//! Both pop in identical `(time, seq)` order, so world execution — and
-//! every golden digest — is bit-identical whichever is active. Build
-//! with the `heap-queue` feature to flip the default back to the heap.
+//! The queue is a hierarchical timer wheel (see [`crate::wheel`]) with
+//! O(1) schedule and a cancel that *removes* the entry, so cancelled
+//! timers cost nothing afterwards.
 
-use crate::heap::HeapQueue;
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
 
 /// A handle identifying one scheduled event, usable for cancellation.
 ///
-/// Carries the event's sequence number and due time; the timer wheel
+/// Carries the event's sequence number and due time; the queue
 /// recomputes the entry's slot from the time, which is what makes its
 /// cancel O(1) without a per-entry index map.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -49,246 +37,91 @@ impl EventKey {
     }
 }
 
-/// Which event-queue implementation an [`EventQueue`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueueImpl {
-    /// Hierarchical timer wheel (the default).
-    Wheel,
-    /// Legacy binary heap with lazy-cancel compaction.
-    Heap,
-}
-
-impl QueueImpl {
-    /// The build default: the wheel, unless the `heap-queue` feature
-    /// flips it back to the legacy heap.
-    pub fn default_impl() -> Self {
-        if cfg!(feature = "heap-queue") {
-            QueueImpl::Heap
-        } else {
-            QueueImpl::Wheel
-        }
-    }
-}
-
-enum Inner<E> {
-    Wheel(TimerWheel<E>),
-    Heap(HeapQueue<E>),
-}
-
-/// A deterministic discrete-event queue.
-///
-/// Events scheduled for the same instant pop in the order they were
-/// scheduled, which keeps multi-component simulations reproducible.
-pub struct EventQueue<E> {
-    inner: Inner<E>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue with the build-default implementation.
-    pub fn new() -> Self {
-        Self::with_impl(QueueImpl::default_impl())
-    }
-
-    /// Creates an empty queue backed by the given implementation.
-    pub fn with_impl(imp: QueueImpl) -> Self {
-        let inner = match imp {
-            QueueImpl::Wheel => Inner::Wheel(TimerWheel::new()),
-            QueueImpl::Heap => Inner::Heap(HeapQueue::new()),
-        };
-        EventQueue { inner }
-    }
-
-    /// Which implementation backs this queue.
-    pub fn queue_impl(&self) -> QueueImpl {
-        match &self.inner {
-            Inner::Wheel(_) => QueueImpl::Wheel,
-            Inner::Heap(_) => QueueImpl::Heap,
-        }
-    }
-
-    /// Schedules `event` to fire at absolute time `time`.
-    ///
-    /// Returns a key that can cancel the event as long as it has not fired.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventKey {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.schedule(time, event),
-            Inner::Heap(h) => h.schedule(time, event),
-        }
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending (and is now cancelled),
-    /// `false` if it had already fired or been cancelled.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.cancel(key),
-            Inner::Heap(h) => h.cancel(key),
-        }
-    }
-
-    /// Removes and returns the earliest pending event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.pop(),
-            Inner::Heap(h) => h.pop(),
-        }
-    }
-
-    /// Removes and returns the earliest pending event if it is due at or
-    /// before `limit` — the event-loop fast path (one scan, not a
-    /// peek/pop pair).
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.pop_before(limit),
-            Inner::Heap(h) => h.pop_before(limit),
-        }
-    }
-
-    /// The time of the earliest pending event, without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Inner::Wheel(w) => w.peek_time(),
-            Inner::Heap(h) => h.peek_time(),
-        }
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.len(),
-            Inner::Heap(h) => h.len(),
-        }
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        match &self.inner {
-            Inner::Wheel(w) => w.is_empty(),
-            Inner::Heap(h) => h.is_empty(),
-        }
-    }
-
-    /// Entries physically stored, including any dead weight the backing
-    /// implementation has not reclaimed yet. The bloat regression test
-    /// pins this to O(live) for both implementations.
-    pub fn internal_len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.internal_len(),
-            Inner::Heap(h) => h.internal_len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::time::SimDuration;
+    use crate::time::{SimDuration, SimTime};
+    use crate::EventQueue;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    /// Runs a closure against a fresh queue of each implementation.
-    fn for_both(case: impl Fn(EventQueue<i32>)) {
-        case(EventQueue::with_impl(QueueImpl::Wheel));
-        case(EventQueue::with_impl(QueueImpl::Heap));
-    }
-
-    fn for_both_str(case: impl Fn(EventQueue<&'static str>)) {
-        case(EventQueue::with_impl(QueueImpl::Wheel));
-        case(EventQueue::with_impl(QueueImpl::Heap));
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for_both(|mut q| {
-            q.schedule(t(30), 3);
-            q.schedule(t(10), 1);
-            q.schedule(t(20), 2);
-            assert_eq!(q.pop(), Some((t(10), 1)));
-            assert_eq!(q.pop(), Some((t(20), 2)));
-            assert_eq!(q.pop(), Some((t(30), 3)));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule(t(30), 3);
+        q.schedule(t(10), 1);
+        q.schedule(t(20), 2);
+        assert_eq!(q.pop(), Some((t(10), 1)));
+        assert_eq!(q.pop(), Some((t(20), 2)));
+        assert_eq!(q.pop(), Some((t(30), 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for_both(|mut q| {
-            for i in 0..100 {
-                q.schedule(t(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((t(5), i)));
-            }
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(t(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t(5), i)));
+        }
     }
 
     #[test]
     fn cancel_removes_event() {
-        for_both_str(|mut q| {
-            let k1 = q.schedule(t(10), "a");
-            q.schedule(t(20), "b");
-            assert!(q.cancel(k1));
-            assert!(!q.cancel(k1), "double cancel must fail");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(20), "b")));
-            assert!(q.is_empty());
-        });
+        let mut q: EventQueue<&'static str> = EventQueue::new();
+        let k1 = q.schedule(t(10), "a");
+        q.schedule(t(20), "b");
+        assert!(q.cancel(k1));
+        assert!(!q.cancel(k1), "double cancel must fail");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t(20), "b")));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn cancel_after_fire_fails() {
-        for_both_str(|mut q| {
-            let k = q.schedule(t(10), "a");
-            assert_eq!(q.pop(), Some((t(10), "a")));
-            assert!(!q.cancel(k));
-        });
+        let mut q: EventQueue<&'static str> = EventQueue::new();
+        let k = q.schedule(t(10), "a");
+        assert_eq!(q.pop(), Some((t(10), "a")));
+        assert!(!q.cancel(k));
     }
 
     #[test]
     fn peek_skips_cancelled() {
-        for_both_str(|mut q| {
-            let k = q.schedule(t(10), "a");
-            q.schedule(t(20), "b");
-            q.cancel(k);
-            assert_eq!(q.peek_time(), Some(t(20)));
-            assert_eq!(q.pop(), Some((t(20), "b")));
-        });
+        let mut q: EventQueue<&'static str> = EventQueue::new();
+        let k = q.schedule(t(10), "a");
+        q.schedule(t(20), "b");
+        q.cancel(k);
+        assert_eq!(q.peek_time(), Some(t(20)));
+        assert_eq!(q.pop(), Some((t(20), "b")));
     }
 
     #[test]
     fn len_tracks_live_events() {
-        for_both(|mut q| {
-            assert!(q.is_empty());
-            let a = q.schedule(t(1), 1);
-            let _b = q.schedule(t(2), 2);
-            assert_eq!(q.len(), 2);
-            q.cancel(a);
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert_eq!(q.len(), 0);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        assert!(q.is_empty());
+        let a = q.schedule(t(1), 1);
+        let _b = q.schedule(t(2), 2);
+        assert_eq!(q.len(), 2);
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        for_both(|mut q| {
-            q.schedule(t(10), 1);
-            let (now, e) = q.pop().unwrap();
-            assert_eq!(e, 1);
-            q.schedule(now + SimDuration::from_micros(5), 2);
-            q.schedule(now + SimDuration::from_micros(1), 3);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 2);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule(t(10), 1);
+        let (now, e) = q.pop().unwrap();
+        assert_eq!(e, 1);
+        q.schedule(now + SimDuration::from_micros(5), 2);
+        q.schedule(now + SimDuration::from_micros(1), 3);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, 2);
     }
 
     /// The lazy-cancel bloat regression: schedule and cancel 100k timers
@@ -296,27 +129,26 @@ mod tests {
     /// stay bounded by the live population, not the churn count.
     #[test]
     fn cancel_churn_keeps_internal_size_bounded() {
-        for_both(|mut q| {
-            // A small stable population, like a host's standing timers.
-            for i in 0..8 {
-                q.schedule(t(1_000_000 + i as u64), i);
-            }
-            for i in 0..100_000u64 {
-                let k = q.schedule(t(100 + (i % 50)), 42);
-                assert!(q.cancel(k));
-                assert_eq!(q.len(), 8);
-                assert!(
-                    q.internal_len() <= 2 * q.len() + 64,
-                    "internal size {} ballooned past bound at churn {}",
-                    q.internal_len(),
-                    i
-                );
-            }
-            // Everything still pops, in order.
-            for i in 0..8 {
-                assert_eq!(q.pop(), Some((t(1_000_000 + i as u64), i)));
-            }
-            assert_eq!(q.pop(), None);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        // A small stable population, like a host's standing timers.
+        for i in 0..8 {
+            q.schedule(t(1_000_000 + i as u64), i);
+        }
+        for i in 0..100_000u64 {
+            let k = q.schedule(t(100 + (i % 50)), 42);
+            assert!(q.cancel(k));
+            assert_eq!(q.len(), 8);
+            assert!(
+                q.internal_len() <= 2 * q.len() + 64,
+                "internal size {} ballooned past bound at churn {}",
+                q.internal_len(),
+                i
+            );
+        }
+        // Everything still pops, in order.
+        for i in 0..8 {
+            assert_eq!(q.pop(), Some((t(1_000_000 + i as u64), i)));
+        }
+        assert_eq!(q.pop(), None);
     }
 }

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod heap;
 pub mod profile;
 pub mod rng;
 pub mod sketch;
@@ -36,8 +35,7 @@ pub mod timeline;
 pub mod trace;
 pub mod wheel;
 
-pub use event::{EventKey, EventQueue, QueueImpl};
-pub use heap::HeapQueue;
+pub use event::EventKey;
 pub use profile::{CycleAccount, CycleKey, FastHashMap, FoldHasher};
 pub use rng::SplitMix64;
 pub use sketch::QuantileSketch;
@@ -45,4 +43,4 @@ pub use stats::{Counter, Histogram, RateSeries, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{MetricsTimeline, TimelineRow};
 pub use trace::{TraceEvent, TraceRing};
-pub use wheel::TimerWheel;
+pub use wheel::EventQueue;

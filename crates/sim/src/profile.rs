@@ -163,17 +163,6 @@ impl CycleAccount {
         out
     }
 
-    /// Nanoseconds recorded per billed pid and account label.
-    pub fn per_billed_account(&self) -> BTreeMap<(u32, &'static str), u64> {
-        let mut out = BTreeMap::new();
-        for &(k, v) in &self.entries {
-            if let (Some(pid), Some(acct)) = (k.billed, k.account) {
-                *out.entry((pid, acct)).or_insert(0) += v;
-            }
-        }
-        out
-    }
-
     /// Nanoseconds recorded per context label.
     pub fn per_context(&self) -> BTreeMap<&'static str, u64> {
         let mut out = BTreeMap::new();

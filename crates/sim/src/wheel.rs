@@ -1,18 +1,17 @@
-//! Hierarchical timer wheel: the default event-queue implementation.
+//! Hierarchical timer wheel: the [`EventQueue`] implementation.
 //!
 //! Seven levels of 64 slots each, with slot width growing by 64× per
 //! level (level 0 is 1 ns per slot), cover ~73 simulated minutes of
 //! lookahead; anything further sits in a sorted **overflow level** that
 //! cascades into the near wheels as the cursor advances. Schedule and
 //! cancel are O(1) amortized and cancellation *removes* the entry — no
-//! dead weight survives, which is the fix for the legacy heap's
-//! lazy-cancel bloat.
+//! dead weight survives timer churn.
 //!
 //! Determinism contract: pops come out in `(time, seq)` order — earliest
-//! time first, FIFO among equal times — exactly like the legacy
-//! [`crate::heap::HeapQueue`]. The dual-implementation property test in
-//! `tests/queue_equivalence.rs` drives both with random
-//! schedule/cancel/pop interleavings and asserts identical streams.
+//! time first, FIFO among equal times. The property test
+//! `event_queue_matches_reference` in `tests/prop.rs` drives the queue
+//! with random schedule/cancel/pop interleavings and checks its pops,
+//! peeks and lengths against a naive sorted reference.
 //!
 //! Placement uses the classic XOR rule: an entry due at `T` lives at the
 //! level of the highest 6-bit group in which `T` differs from the wheel
@@ -54,8 +53,12 @@ impl<E> Level<E> {
     }
 }
 
-/// A deterministic event queue backed by a hierarchical timer wheel.
-pub struct TimerWheel<E> {
+/// A deterministic discrete-event queue backed by a hierarchical timer
+/// wheel.
+///
+/// Events scheduled for the same instant pop in the order they were
+/// scheduled, which keeps multi-component simulations reproducible.
+pub struct EventQueue<E> {
     /// Per-level occupancy bitmaps: bit i set = slot i non-empty, so
     /// finding the next occupied slot is a mask + trailing-zero count.
     occupied: [u64; LEVELS],
@@ -74,7 +77,7 @@ pub struct TimerWheel<E> {
     scratch: Vec<Entry<E>>,
 }
 
-impl<E> Default for TimerWheel<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -107,10 +110,10 @@ fn slot_start(elapsed: u64, level: usize, slot: usize) -> u64 {
     (elapsed & !(block - 1)) | ((slot as u64) << shift)
 }
 
-impl<E> TimerWheel<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty wheel with the cursor at time zero.
     pub fn new() -> Self {
-        TimerWheel {
+        EventQueue {
             occupied: [0; LEVELS],
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             overflow: BTreeMap::new(),
@@ -344,8 +347,8 @@ impl<E> TimerWheel<E> {
     }
 
     /// Entries physically stored (slots + ready + overflow). Equals
-    /// [`Self::len`] because cancellation removes entries — the bloat
-    /// regression test pins this.
+    /// [`Self::len`] because cancellation removes entries — the
+    /// schedule+cancel churn test pins this.
     pub fn internal_len(&self) -> usize {
         let in_slots: usize = self
             .levels
@@ -380,7 +383,7 @@ mod tests {
 
     #[test]
     fn pops_across_levels_in_order() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         // One entry per level, plus overflow.
         let times = [
             5u64,
@@ -403,7 +406,7 @@ mod tests {
 
     #[test]
     fn same_time_fifo_across_placement_paths() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         // Entry placed at level 1 that will cascade into the same level-0
         // slot as a directly placed one — FIFO by seq must survive.
         w.schedule(t(100), "first"); // seq 0
@@ -417,7 +420,7 @@ mod tests {
 
     #[test]
     fn past_schedule_pops_first() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         w.schedule(t(1000), "late");
         assert_eq!(w.pop(), Some((t(1000), "late")));
         // Cursor is near 1000 now; schedule into the past.
@@ -429,7 +432,7 @@ mod tests {
 
     #[test]
     fn cancel_removes_from_every_region() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let near = w.schedule(t(10), "near");
         let mid = w.schedule(t(100_000), "mid");
         let far = w.schedule(t(1 << 50), "far");
@@ -445,7 +448,7 @@ mod tests {
 
     #[test]
     fn cancel_in_ready_buffer() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let a = w.schedule(t(5), 1);
         let b = w.schedule(t(5), 2);
         let _ = a;
@@ -459,7 +462,7 @@ mod tests {
 
     #[test]
     fn overflow_cascades_in() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let horizon = 1u64 << 42; // 64^7 = 2^42
         w.schedule(t(horizon + 500), "far");
         // Nothing near: pop jumps the cursor and cascades overflow in.
@@ -472,7 +475,7 @@ mod tests {
 
     #[test]
     fn cancel_overflow_entry_after_cursor_advances() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let far = w.schedule(t((1 << 42) + 77), "far");
         w.schedule(t(10), "near");
         assert_eq!(w.pop(), Some((t(10), "near")));
@@ -484,7 +487,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         for ns in [9u64, 3, 77, 3, 4096, 1 << 43] {
             w.schedule(t(ns), ns);
         }

@@ -51,11 +51,6 @@ impl CcAlgo {
         [CcAlgo::NewReno, CcAlgo::Cubic, CcAlgo::BbrLite]
     }
 
-    /// Parses a [`name`](Self::name) back to the algorithm.
-    pub fn from_name(s: &str) -> Option<CcAlgo> {
-        CcAlgo::all().into_iter().find(|a| a.name() == s)
-    }
-
     /// Builds the controller. `mss` seeds the initial window; `cap` is
     /// the hard window ceiling (twice the send buffer, matching the
     /// pre-refactor clamp).
@@ -82,9 +77,6 @@ impl std::fmt::Display for CcAlgo {
 /// monolithic implementation mutated its inline window fields, so a
 /// controller reproducing that arithmetic is bit-identical to it.
 pub trait CongestionControl: std::fmt::Debug {
-    /// Which algorithm this is (for reports and result JSON).
-    fn algo(&self) -> CcAlgo;
-
     /// Current congestion window, bytes. Always ≥ 1 MSS.
     fn cwnd(&self) -> usize;
 
@@ -149,10 +141,6 @@ impl NewReno {
 }
 
 impl CongestionControl for NewReno {
-    fn algo(&self) -> CcAlgo {
-        CcAlgo::NewReno
-    }
-
     fn cwnd(&self) -> usize {
         self.cwnd
     }
@@ -240,10 +228,6 @@ impl Cubic {
 }
 
 impl CongestionControl for Cubic {
-    fn algo(&self) -> CcAlgo {
-        CcAlgo::Cubic
-    }
-
     fn cwnd(&self) -> usize {
         self.cwnd
     }
@@ -387,10 +371,6 @@ impl BbrLite {
 }
 
 impl CongestionControl for BbrLite {
-    fn algo(&self) -> CcAlgo {
-        CcAlgo::BbrLite
-    }
-
     fn cwnd(&self) -> usize {
         self.cwnd
     }

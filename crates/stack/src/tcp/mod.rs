@@ -390,11 +390,6 @@ impl TcpConn {
         self.cc.ssthresh()
     }
 
-    /// The congestion controller this connection runs.
-    pub fn cc_algo(&self) -> CcAlgo {
-        self.cc.algo()
-    }
-
     /// The controller's advisory pacing gain, ×1024 (see
     /// [`CongestionControl::pacing_gain_x1024`]).
     pub fn pacing_gain_x1024(&self) -> u32 {

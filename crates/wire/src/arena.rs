@@ -13,9 +13,8 @@
 //! simulator, and holds no back-pointers: a checked-out
 //! `Rc<PooledBuf>` is plain data, so the `RefCell` is touched only at
 //! checkout/return time, never on the data path. The owner of the
-//! thread-local arena (`lrp-wire`'s `FrameBuf`) is responsible for
-//! calling [`FrameArena::reclaim`] when a buffer's last reference
-//! drops.
+//! thread-local arena ([`crate::FrameBuf`]) is responsible for calling
+//! [`FrameArena::reclaim`] when a buffer's last reference drops.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -102,7 +101,7 @@ struct ArenaInner {
     /// Recycled `Rc` boxes (strong count 1), ready to wrap new bytes.
     rc_cache: Vec<Rc<PooledBuf>>,
     /// When false, returned storage is dropped and checkouts always
-    /// allocate — the pre-pooling behaviour, kept for A/B benchmarks.
+    /// allocate (see [`FrameArena::set_recycling`]).
     recycle: bool,
     stats: ArenaStats,
 }
@@ -175,8 +174,9 @@ impl FrameArena {
     }
 
     /// Turns storage recycling on or off. Off means every checkout
-    /// allocates and every return frees — the pre-arena behaviour,
-    /// selectable at run time so benchmarks can A/B the difference.
+    /// allocates and every return frees, and drops the cached storage:
+    /// tests use it to show pooling changes no result, benchmarks to
+    /// start from an empty cache.
     pub fn set_recycling(&self, on: bool) {
         let mut inner = self.inner.borrow_mut();
         inner.recycle = on;

@@ -1,12 +1,11 @@
 //! Arena-backed frame bytes.
 //!
 //! [`FrameBuf`] is the byte storage behind [`crate::Frame`]: an
-//! `Rc<PooledBuf>` drawn from a thread-local [`FrameArena`]
-//! (`lrp-mbuf`). Cloning a frame — fan-out, duplication faults, capture
-//! — is a reference-count bump instead of a full byte copy, and when
-//! the last reference drops both the byte vector and the `Rc` box go
-//! back to the arena for the next packet, so steady-state traffic
-//! leaves the allocator alone.
+//! `Rc<PooledBuf>` drawn from a thread-local [`FrameArena`]. Cloning a
+//! frame — fan-out, duplication faults, capture — is a reference-count
+//! bump instead of a full byte copy, and when the last reference drops
+//! both the byte vector and the `Rc` box go back to the arena for the
+//! next packet, so steady-state traffic leaves the allocator alone.
 //!
 //! The buffer is immutable through `Deref`; the rare writer (fault
 //! injection corrupting a byte) goes through [`FrameBuf::make_mut`],
@@ -14,7 +13,7 @@
 //! so swapping `Vec<u8>` for `FrameBuf` changes no observable
 //! behaviour.
 
-use lrp_mbuf::{ArenaStats, FrameArena, PooledBuf};
+use crate::arena::{ArenaStats, FrameArena, PooledBuf};
 use std::rc::Rc;
 
 thread_local! {
@@ -24,8 +23,9 @@ thread_local! {
 /// Turns frame-storage recycling on or off for this thread's arena.
 ///
 /// On (the default), dropped frame buffers are cached and reused by
-/// later frames. Off restores per-frame alloc/free — the pre-arena
-/// behaviour, kept selectable so benchmarks can measure the difference.
+/// later frames. Off restores per-frame alloc/free and empties the
+/// cache: tests use it to show pooling changes no result, benchmarks to
+/// start from an empty cache.
 pub fn set_frame_pooling(on: bool) {
     ARENA.with(|a| a.set_recycling(on));
 }

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod arp;
 pub mod buf;
 pub mod checksum;

@@ -6,7 +6,6 @@
 //! crates for detail:
 //!
 //! - [`sim`] — discrete-event engine, deterministic RNG, statistics.
-//! - [`mbuf`] — BSD-style message buffers.
 //! - [`wire`] — IPv4/UDP/TCP/ICMP/ARP wire formats on real bytes.
 //! - [`demux`] — the early packet demultiplexing function of LRP §3.2.
 //! - [`sched`] — 4.3BSD decay-usage scheduler and process model.
@@ -39,7 +38,6 @@ pub use lrp_apps as apps;
 pub use lrp_core as core;
 pub use lrp_demux as demux;
 pub use lrp_experiments as experiments;
-pub use lrp_mbuf as mbuf;
 pub use lrp_net as net;
 pub use lrp_nic as nic;
 pub use lrp_sched as sched;
